@@ -10,7 +10,8 @@ numpy and stdlib, so they double as the CI kernel-benchmark smoke job::
     pytest benchmarks/bench_kernels.py -k "backend_comparison or peak_memory"
 
 The comparison writes ``BENCH_kernels.json`` at the repo root with
-rois/sec per scan backend (see docs/kernels.md).
+rois/sec per scan backend and for the feature layer (see
+docs/kernels.md).
 """
 
 import time
@@ -143,6 +144,30 @@ def _time_matrix(kernels, volume, levels, repeats):
     }
 
 
+#: Scan-output matrices the feature-layer timing runs on: enough for a
+#: stable time, few enough that the 14-feature row (one eigensolve per
+#: matrix for ``mcc``) stays a few seconds.
+FEATURE_ROIS = 1024
+
+
+def _time_features(mats, repeats):
+    """Best-of-N ``haralick_features`` throughput on int64 scan output,
+    for the paper's four features and for all fourteen."""
+    out = {}
+    for label, wanted in (("paper", PAPER_FEATURES), ("all14", HARALICK_FEATURES)):
+        best = float("inf")
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            haralick_features(mats, wanted)
+            best = min(best, time.perf_counter() - t0)
+        out[label] = {
+            "rois": len(mats),
+            "seconds": round(best, 6),
+            "rois_per_sec": round(len(mats) / best, 1),
+        }
+    return out
+
+
 def test_kernel_backend_comparison():
     """All backends bit-identical; megabatch the fastest CPU kernel.
 
@@ -150,7 +175,9 @@ def test_kernel_backend_comparison():
     directions, distance 1, plus a grey-level sweep over 16/32/64.
     Writes the full kernel x levels throughput matrix to
     ``BENCH_kernels.json`` at the repo root ("backends" holds the
-    paper-config 32-level column).
+    paper-config 32-level column), plus the feature layer's throughput
+    on the incremental scan's G=32 matrices ("features": the four paper
+    features and all fourteen).
     """
     volume = _smoke_volume()
     mats = {k: _collect(get_kernel(k), volume) for k in BENCH_KERNELS}
@@ -158,6 +185,7 @@ def test_kernel_backend_comparison():
         assert np.array_equal(mats[k], mats["reference"]), (
             f"{k} backend not bit-identical to reference"
         )
+    features = _time_features(mats["incremental"][:FEATURE_ROIS], repeats=3)
     del mats
 
     sweep = {}
@@ -176,6 +204,7 @@ def test_kernel_backend_comparison():
             "batch": 2048,
         },
         "backends": results,
+        "features": features,
         "levels_sweep": {
             str(levels): {k: r["rois_per_sec"] for k, r in row.items()}
             for levels, row in sweep.items()
@@ -196,6 +225,8 @@ def test_kernel_backend_comparison():
     for levels, row in sweep.items():
         for k, r in row.items():
             print(f"  G={levels:<3} {k:>11}: {r['rois_per_sec']:>10.1f} rois/sec")
+    for k, r in features.items():
+        print(f"  G={LEVELS:<3} features {k:>6}: {r['rois_per_sec']:>10.1f} rois/sec")
 
     # CI gates on the paper config: the rolling kernel must not regress
     # below the batched one, and the chunk-at-once kernel must beat the

@@ -1,9 +1,10 @@
 """The fourteen Haralick textural features (Haralick et al., 1973).
 
-All features operate on the normalized co-occurrence probability matrix
-``p(i, j) = counts(i, j) / counts.sum()``.  The implementation is fully
-vectorized over batches: input of shape ``(..., G, G)`` produces one value
-of shape ``(...,)`` per feature.
+All features are defined on the normalized co-occurrence probability
+matrix ``p(i, j) = counts(i, j) / counts.sum()``, but are computed from
+exact integer reductions of the counts, without forming ``p``.  The
+implementation is fully vectorized over batches: input of shape
+``(..., G, G)`` produces one value of shape ``(...,)`` per feature.
 
 Feature names (paper numbering f1..f14):
 
@@ -77,35 +78,36 @@ def feature_index(name: str) -> int:
         ) from None
 
 
-def _xlogx(x: np.ndarray) -> np.ndarray:
-    """``x * ln(x)`` with the ``0 ln 0 = 0`` convention."""
-    out = np.zeros_like(x)
-    nz = x > 0
-    out[nz] = x[nz] * np.log(x[nz])
-    return out
+def _row_entropy(m: np.ndarray, totals: np.ndarray) -> np.ndarray:
+    """``-sum_k q ln q`` per row of ``q = m / totals[:, None]`` (``0 ln 0 = 0``).
 
-
-def _sum_diff_operators(levels: int) -> Tuple[np.ndarray, np.ndarray]:
-    """One-hot scatter operators mapping ``p.reshape(-1)`` onto the
-    ``p_{x+y}`` (length ``2G-1``) and ``p_{x-y}`` (length ``G``) marginals.
+    ``m`` is a non-negative ``(n, K)`` array.  Only non-zero cells are
+    visited (paper Section 4.4.1), and ``bincount`` adds each row's
+    terms in cell order, so a row's value does not depend on the other
+    rows passed with it.
     """
-    i, j = np.meshgrid(np.arange(levels), np.arange(levels), indexing="ij")
-    s = (i + j).reshape(-1)
-    d = np.abs(i - j).reshape(-1)
-    S = np.zeros((levels * levels, 2 * levels - 1))
-    S[np.arange(s.size), s] = 1.0
-    D = np.zeros((levels * levels, levels))
-    D[np.arange(d.size), d] = 1.0
-    return S, D
+    n, k = m.shape
+    nz = np.flatnonzero(m)
+    rows = nz // k
+    q = m.reshape(-1)[nz] / totals[rows]
+    return -np.bincount(rows, weights=q * np.log(q), minlength=n)
 
 
-_OP_CACHE: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+def _sum_diff_marginals(acc: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Un-normalized ``p_{x+y}`` ``(n, 2G-1)`` and ``p_{x-y}`` ``(n, G)``.
 
-
-def _ops(levels: int) -> Tuple[np.ndarray, np.ndarray]:
-    if levels not in _OP_CACHE:
-        _OP_CACHE[levels] = _sum_diff_operators(levels)
-    return _OP_CACHE[levels]
+    Scattered from the non-zero cells only; with integer counts every
+    entry is an exact integer sum (held in float64, exact below 2**53).
+    """
+    n, levels, _ = acc.shape
+    nz = np.flatnonzero(acc)
+    rows, cell = np.divmod(nz, levels * levels)
+    i, j = np.divmod(cell, levels)
+    c = acc.reshape(-1)[nz]
+    k_sum = 2 * levels - 1
+    p_sum = np.bincount(rows * k_sum + i + j, weights=c, minlength=n * k_sum)
+    p_diff = np.bincount(rows * levels + np.abs(i - j), weights=c, minlength=n * levels)
+    return p_sum.reshape(n, k_sum), p_diff.reshape(n, levels)
 
 
 def _mcc(p: np.ndarray, px: np.ndarray, py: np.ndarray) -> float:
@@ -123,11 +125,17 @@ def _mcc(p: np.ndarray, px: np.ndarray, py: np.ndarray) -> float:
     pys = py[keep]
     a = psub / pxs[:, None]
     b = psub / pys[None, :]
-    q = a @ b.T
+    q = np.einsum("ik,jk->ij", a, b)
     eig = np.abs(np.linalg.eigvals(q))
     eig.sort()
     second = eig[-2]
     return float(np.sqrt(max(0.0, min(second, 1.0))))
+
+
+def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """``num / den`` with 0.0 where ``den`` is not positive."""
+    ok = den > 0
+    return np.where(ok, num / np.where(ok, den, 1.0), 0.0)
 
 
 def haralick_features(
@@ -148,105 +156,95 @@ def haralick_features(
     Returns
     -------
     dict mapping feature name -> array of shape ``matrices.shape[:-2]``.
+
+    Every statistic is a reduction of the raw counts ``c`` taken per
+    matrix: the total ``T``, the marginals, ``S_x = sum c i``,
+    ``S_xx = sum c i^2`` (and the ``y`` forms), ``S_xy = sum c i j``,
+    ``sum c^2`` and ``sum c |i - j|``.  Integer input keeps them in
+    int64, where sums are exact in any order, so a matrix's features do
+    not depend on the batch it arrives in.  Floating point enters only
+    in the final per-matrix arithmetic, e.g. ``var_x = (T S_xx - S_x^2)
+    / T^2``, and in the non-integer weights (IDM, the logarithms), each
+    a reduction over one matrix's own cells.  No float ``(n, G, G)``
+    copy is made and no BLAS routine is called (see docs/kernels.md,
+    "Feature layer").
     """
     wanted = tuple(features) if features is not None else HARALICK_FEATURES
     for name in wanted:
         feature_index(name)  # validates
 
-    matrices = np.asarray(matrices, dtype=np.float64)
-    if matrices.ndim < 2 or matrices.shape[-1] != matrices.shape[-2]:
-        raise ValueError(f"expected (..., G, G) matrices, got {matrices.shape}")
-    levels = matrices.shape[-1]
-    lead = matrices.shape[:-2]
-    flat = matrices.reshape(-1, levels, levels)
-    nmat = flat.shape[0]
-
-    totals = flat.sum(axis=(1, 2))
-    safe_tot = np.where(totals > 0, totals, 1.0)
-    p = flat / safe_tot[:, None, None]
-
-    lev = np.arange(levels, dtype=np.float64)
-    px = p.sum(axis=2)  # (..., G) marginal over columns
-    py = p.sum(axis=1)
-    mu_x = px @ lev
-    mu_y = py @ lev
-    var_x = px @ (lev**2) - mu_x**2
-    var_y = py @ (lev**2) - mu_y**2
-
+    acc = np.asarray(matrices)
+    if acc.ndim < 2 or acc.shape[-1] != acc.shape[-2]:
+        raise ValueError(f"expected (..., G, G) matrices, got {acc.shape}")
+    acc = acc.astype(np.int64 if acc.dtype.kind in "biu" else np.float64, copy=False)
+    levels = acc.shape[-1]
+    lead = acc.shape[:-2]
+    acc = acc.reshape(-1, levels, levels)
+    nmat = acc.shape[0]
     need = set(wanted)
+
+    lev = np.arange(levels, dtype=acc.dtype)
+    px = np.einsum("nij->ni", acc)
+    py = np.einsum("nij->nj", acc)
+    tot = px.sum(axis=1)
+    sx = np.einsum("ni,i->n", px, lev)
+    sy = np.einsum("nj,j->n", py, lev)
+    sxx = np.einsum("ni,i->n", px, lev * lev)
+    syy = np.einsum("nj,j->n", py, lev * lev)
+    sxy = np.einsum("ni,i->n", np.einsum("nij,j->ni", acc, lev), lev)
+
+    # Float arithmetic from here on is per matrix.
+    t = np.where(tot > 0, tot, 1).astype(np.float64)
+    t2 = t * t
+    fx, fy = sx.astype(np.float64), sy.astype(np.float64)
+    var_x = np.maximum(t * sxx - fx * fx, 0.0)  # T^2 var_x
     out: Dict[str, np.ndarray] = {}
 
-    if {"contrast", "sum_average", "sum_variance", "sum_entropy",
-        "difference_variance", "difference_entropy"} & need:
-        S, D = _ops(levels)
-        p2 = p.reshape(nmat, -1)
-        p_sum = p2 @ S  # (B, 2G-1)
-        p_diff = p2 @ D  # (B, G)
-        ks = np.arange(2 * levels - 1, dtype=np.float64)
-        kd = np.arange(levels, dtype=np.float64)
-
     if "asm" in need:
-        out["asm"] = (p**2).sum(axis=(1, 2))
-    if "contrast" in need:
-        out["contrast"] = p_diff @ (kd**2)
+        out["asm"] = np.einsum("nij,nij->n", acc, acc) / t2
     if "correlation" in need:
-        ij = np.outer(lev, lev)
-        num = (p * ij).sum(axis=(1, 2)) - mu_x * mu_y
-        denom = np.sqrt(np.clip(var_x, 0, None) * np.clip(var_y, 0, None))
-        out["correlation"] = np.where(denom > 0, num / np.where(denom > 0, denom, 1), 0.0)
+        var_y = np.maximum(t * syy - fy * fy, 0.0)
+        out["correlation"] = _ratio(t * sxy - fx * fy, np.sqrt(var_x * var_y))
     if "sum_of_squares" in need:
         # Variance about the mean of the x-marginal (Haralick f4).
-        d2 = (lev[None, :, None] - mu_x[:, None, None]) ** 2
-        out["sum_of_squares"] = (p * d2).sum(axis=(1, 2))
+        out["sum_of_squares"] = var_x / t2
     if "idm" in need:
-        i, j = np.meshgrid(lev, lev, indexing="ij")
-        w = 1.0 / (1.0 + (i - j) ** 2)
-        out["idm"] = (p * w[None]).sum(axis=(1, 2))
-    if "sum_average" in need or "sum_variance" in need:
-        f6 = p_sum @ ks
-        if "sum_average" in need:
-            out["sum_average"] = f6
+        d = lev[:, None] - lev[None, :]
+        out["idm"] = np.einsum("nij,ij->n", acc, 1.0 / (1.0 + d * d)) / t
+    # sum c (i - j)^2 and sum c (i + j)^2, exact for integer counts.
+    d2 = sxx + syy - 2 * sxy
+    if "contrast" in need:
+        out["contrast"] = d2 / t
+    if "sum_average" in need:
+        out["sum_average"] = (fx + fy) / t
     if "sum_variance" in need:
-        out["sum_variance"] = (p_sum * (ks[None, :] - f6[:, None]) ** 2).sum(axis=1)
-    if "sum_entropy" in need:
-        out["sum_entropy"] = -_xlogx(p_sum).sum(axis=1)
-    if "entropy" in need or "imc1" in need or "imc2" in need:
-        hxy = -_xlogx(p).sum(axis=(1, 2))
-        if "entropy" in need:
-            out["entropy"] = hxy
+        s = fx + fy
+        out["sum_variance"] = (t * (sxx + syy + 2 * sxy) - s * s) / t2
     if "difference_variance" in need:
-        mean_d = p_diff @ kd
-        out["difference_variance"] = (
-            p_diff * (kd[None, :] - mean_d[:, None]) ** 2
-        ).sum(axis=1)
-    if "difference_entropy" in need:
-        out["difference_entropy"] = -_xlogx(p_diff).sum(axis=1)
-    if "imc1" in need or "imc2" in need:
-        # Joint of the independent marginals, with 0 log 0 handling.
-        pxy = px[:, :, None] * py[:, None, :]
-        log_pxy = np.zeros_like(pxy)
-        nz = pxy > 0
-        log_pxy[nz] = np.log(pxy[nz])
-        hxy1 = -(p * log_pxy).sum(axis=(1, 2))
-        hxy2 = -_xlogx(pxy).sum(axis=(1, 2))
-        hx = -_xlogx(px).sum(axis=1)
-        hy = -_xlogx(py).sum(axis=1)
-        if "imc1" in need:
-            hmax = np.maximum(hx, hy)
-            out["imc1"] = np.where(hmax > 0, (hxy - hxy1) / np.where(hmax > 0, hmax, 1), 0.0)
-        if "imc2" in need:
-            out["imc2"] = np.sqrt(np.clip(1.0 - np.exp(-2.0 * (hxy2 - hxy)), 0.0, 1.0))
+        absd = np.abs(lev[:, None] - lev[None, :])
+        m1 = np.einsum("nij,ij->n", acc, absd).astype(np.float64)
+        out["difference_variance"] = (t * d2 - m1 * m1) / t2
+    if {"sum_entropy", "difference_entropy"} & need:
+        p_sum, p_diff = _sum_diff_marginals(acc)
+        out["sum_entropy"] = _row_entropy(p_sum, t)
+        out["difference_entropy"] = _row_entropy(p_diff, t)
+    if {"entropy", "imc1", "imc2"} & need:
+        hxy = _row_entropy(acc.reshape(nmat, levels * levels), t)
+        out["entropy"] = hxy
+        # With p(i, j) > 0 only where px(i) py(j) > 0, both HXY1 and
+        # HXY2 of Haralick's f12/f13 reduce to HX + HY.
+        hx = _row_entropy(px, t)
+        hy = _row_entropy(py, t)
+        out["imc1"] = _ratio(hxy - (hx + hy), np.maximum(hx, hy))
+        out["imc2"] = np.sqrt(np.clip(1.0 - np.exp(-2.0 * (hx + hy - hxy)), 0.0, 1.0))
     if "mcc" in need:
         out["mcc"] = np.array(
-            [_mcc(p[k], px[k], py[k]) for k in range(nmat)], dtype=np.float64
+            [_mcc(acc[k] / t[k], px[k] / t[k], py[k] / t[k]) for k in range(nmat)],
+            dtype=np.float64,
         )
 
-    empty = totals == 0
-    result = {}
-    for name in wanted:
-        vals = np.where(empty, 0.0, out[name])
-        result[name] = vals.reshape(lead)
-    return result
+    empty = tot == 0
+    return {name: np.where(empty, 0.0, out[name]).reshape(lead) for name in wanted}
 
 
 def haralick_feature_vector(

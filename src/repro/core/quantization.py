@@ -19,6 +19,8 @@ Two strategies are provided:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = ["quantize_linear", "quantize_equalized", "num_levels_ok"]
@@ -68,7 +70,14 @@ def quantize_linear(
     if hi == lo:
         # Constant image: everything maps to level 0.
         return np.zeros(data.shape, dtype=np.int32)
-    scaled = (np.asarray(data, dtype=np.float64) - lo) * (levels / (hi - lo))
+    scale = float(levels) / (hi - lo)
+    data = np.asarray(data, dtype=np.float64)
+    if math.isinf(scale):
+        # A range this narrow (e.g. subnormal) overflows the bin width:
+        # normalize the clipped data to [0, 1] before scaling instead.
+        scaled = (np.clip(data, lo, hi) - lo) / (hi - lo) * levels
+    else:
+        scaled = (data - lo) * scale
     out = np.floor(scaled).astype(np.int32)
     np.clip(out, 0, levels - 1, out=out)
     return out

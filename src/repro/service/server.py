@@ -206,10 +206,13 @@ class ServiceServer:
 
     def close(self) -> None:
         self._closed = True
+        # close() alone does not wake a thread blocked in accept();
+        # shutdown() does, so the join below returns at once.
         try:
-            self._sock.close()
+            self._sock.shutdown(socket.SHUT_RDWR)
         except OSError:
-            pass
+            pass  # not connected on some platforms; close() still runs
+        self._sock.close()
         self._accept_thread.join(timeout=2.0)
 
     def __enter__(self) -> "ServiceServer":

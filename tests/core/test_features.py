@@ -1,8 +1,13 @@
 """Unit tests for the fourteen Haralick features."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.backends import incremental_scan
 from repro.core.features import (
     HARALICK_FEATURES,
     PAPER_FEATURES,
@@ -10,6 +15,7 @@ from repro.core.features import (
     haralick_feature_vector,
     haralick_features,
 )
+from repro.core.roi import ROISpec
 
 
 def naive_features(counts):
@@ -88,6 +94,24 @@ class TestAgainstNaive:
             assert got[name] == pytest.approx(want[name], abs=1e-10), name
 
 
+class TestPaperConfigScan:
+    def test_incremental_scan_matches_naive_at_g32(self):
+        """Real scan output at the paper's G=32, 5x5x5x3 ROI, 40 directions."""
+        rng = np.random.default_rng(21)
+        volume = rng.integers(0, 32, size=(6, 6, 6, 4))
+        mats = np.concatenate(
+            [m for _s, m in incremental_scan(volume, ROISpec((5, 5, 5, 3)), 32)]
+        )
+        assert mats.dtype == np.int64 and mats.shape[1:] == (32, 32)
+        got = haralick_features(mats[:6])
+        for k in range(6):
+            want = naive_features(mats[k])
+            for name in HARALICK_FEATURES:
+                if name == "mcc":
+                    continue
+                assert got[name][k] == pytest.approx(want[name], abs=1e-10), name
+
+
 class TestKnownValues:
     def test_uniform_matrix(self):
         g = 8
@@ -143,7 +167,11 @@ class TestBatching:
         for k in range(5):
             single = haralick_features(mats[k])
             for name in HARALICK_FEATURES:
-                assert batched[name][k] == pytest.approx(single[name]), name
+                assert batched[name][k] == single[name], name
+
+    def test_empty_batch(self):
+        f = haralick_features(np.zeros((0, 8, 8), dtype=np.int64))
+        assert all(f[name].shape == (0,) for name in HARALICK_FEATURES)
 
     def test_leading_shape_preserved(self):
         mats = np.ones((2, 3, 8, 8))
@@ -186,3 +214,56 @@ class TestValidation:
         b = haralick_features(m / m.sum())
         for name in HARALICK_FEATURES:
             assert a[name] == pytest.approx(b[name]), name
+
+
+@st.composite
+def count_batches(draw):
+    """Random int64 count stacks plus a split of them into sub-batches."""
+    g = draw(st.sampled_from([2, 8, 32]))
+    n = draw(st.integers(1, 40))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    scale = draw(st.sampled_from([2, 50, 100000]))
+    density = draw(st.sampled_from([0.05, 0.5, 1.0]))
+    counts = rng.integers(0, scale, size=(n, g, g)) * (rng.random((n, g, g)) < density)
+    counts[rng.random(n) < 0.1] = 0  # some empty matrices
+    sizes = draw(st.lists(st.integers(1, n), min_size=1, max_size=8))
+    sizes.append(1)  # a single-matrix sub-batch is always in the mix
+    return counts.astype(np.int64), sizes
+
+
+class TestBatchInvariance:
+    @given(count_batches())
+    @settings(max_examples=40, deadline=None)
+    def test_every_split_bit_identical(self, case):
+        """A matrix's features never depend on the batch it arrives in."""
+        counts, sizes = case
+        whole = haralick_features(counts)
+        lo, k = 0, 0
+        while lo < len(counts):
+            hi = min(len(counts), lo + sizes[k % len(sizes)])
+            part = haralick_features(counts[lo:hi])
+            for name in HARALICK_FEATURES:
+                assert np.array_equal(part[name], whole[name][lo:hi]), name
+            lo, k = hi, k + 1
+
+
+class TestMemory:
+    def test_paper_features_make_no_float_copy(self):
+        """A 3,136-ROI G=32 packet: temporaries < 1/4 of the packet itself.
+
+        A float64 ``(n, G, G)`` copy of the counts alone would be the
+        packet's full size.
+        """
+        rng = np.random.default_rng(3)
+        counts = rng.integers(0, 400, size=(3136, 32, 32)) * (
+            rng.random((3136, 32, 32)) < 0.05
+        )
+        haralick_features(counts, PAPER_FEATURES)  # warm up
+        tracemalloc.start()
+        try:
+            haralick_features(counts, PAPER_FEATURES)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < counts.nbytes / 4, (peak, counts.nbytes)

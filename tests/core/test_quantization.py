@@ -1,5 +1,7 @@
 """Unit tests for grey-level requantization."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,21 @@ class TestQuantizeLinear:
     def test_inverted_range_rejected(self):
         with pytest.raises(ValueError):
             quantize_linear(np.zeros(4), 8, lo=10, hi=0)
+
+    @pytest.mark.parametrize("levels", [32, np.int64(32)])
+    def test_subnormal_range(self, levels):
+        # levels / (hi - lo) overflows for a subnormal range; the result
+        # must still be valid levels, with no overflow or cast warning.
+        data = np.array([-1.0, 0.0, 5e-324, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            q = quantize_linear(data, levels, lo=0.0, hi=5e-324)
+        assert q.min() >= 0 and q.max() <= 31
+        assert list(q) == [0, 0, 31, 31]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            q = quantize_linear(np.array([0.0, 5e-324]), 32)
+        assert list(q) == [0, 31]
 
 
 class TestQuantizeEqualized:

@@ -1,11 +1,15 @@
 """Tests for the sequential out-of-core driver."""
 
+import time
+
 import numpy as np
 import pytest
 
 from repro.core.analysis import HaralickConfig, haralick_transform
 from repro.core.quantization import quantize_linear
+from repro.core.raster import raster_scan
 from repro.data.synthetic import PhantomConfig, generate_phantom
+from repro.datacutter.obs import Tracer
 from repro.filters.messages import TextureParams
 from repro.pipeline.config import AnalysisConfig
 from repro.pipeline.sequential import iter_chunk_features, transform_disk_dataset
@@ -59,3 +63,39 @@ class TestTransformDiskDataset:
         from repro.pipeline.builder import plan_chunks
 
         assert count == len(plan_chunks(dataset.shape, cfg))
+
+
+class TestSequentialTrace:
+    def test_features_span_timed_on_its_own(self, setup, monkeypatch):
+        """A slow feature layer shows in chunk.features, not chunk.cooccur."""
+        import repro.pipeline.sequential as seq
+
+        _vol, root, cfg = setup
+        real = seq.haralick_features
+
+        def slow(mats, features):
+            time.sleep(0.02)
+            return real(mats, features)
+
+        monkeypatch.setattr(seq, "haralick_features", slow)
+        tracer = Tracer()
+        for _chunk, _local in iter_chunk_features(
+            DiskDataset4D.open(root), cfg, tracer=tracer
+        ):
+            pass
+        spans = {}
+        for ev in tracer.drain():
+            spans.setdefault(ev.kind, []).append(ev.dur)
+        assert spans["chunk.features"] and all(d >= 0.02 for d in spans["chunk.features"])
+        assert sum(spans["chunk.cooccur"]) < 0.5 * sum(spans["chunk.features"])
+
+    def test_local_volumes_equal_raster_scan(self, setup):
+        _vol, root, cfg = setup
+        dataset = DiskDataset4D.open(root)
+        p = cfg.texture
+        for chunk, local in iter_chunk_features(dataset, cfg):
+            q = p.quantize(dataset.read_chunk(*zip(chunk.lo, chunk.hi)))
+            want = raster_scan(q, p.roi, p.levels, features=p.features,
+                               distance=p.distance, kernel=p.kernel)
+            for name in p.features:
+                assert np.array_equal(local[name], want[name]), name

@@ -1,5 +1,7 @@
 """ServiceServer + ServiceClient over a loopback socket."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -151,3 +153,14 @@ class TestPayloadParsing:
     def test_dataset_required(self):
         with pytest.raises(ValueError, match="dataset"):
             request_from_payload({"features": ["asm"]})
+
+
+class TestLifecycle:
+    def test_close_is_prompt(self):
+        with AnalysisService(ServiceConfig(workers=1)) as service:
+            server = ServiceServer(service, port=0)
+            t0 = time.perf_counter()
+            server.close()
+            elapsed = time.perf_counter() - t0
+        assert elapsed < 0.5
+        assert not server._accept_thread.is_alive()
