@@ -13,9 +13,12 @@ curves cross), not the absolute scale.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
-from typing import Dict, List, Sequence
+import platform
+import subprocess
+from typing import Dict, List, Optional, Sequence
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -28,16 +31,75 @@ def record(name: str, rows: List[Dict]) -> None:
         json.dump(rows, fh, indent=1)
 
 
+def _git_sha() -> Optional[str]:
+    try:
+        out = subprocess.run(
+            ["git", "rev-parse", "HEAD"], cwd=REPO_ROOT,
+            capture_output=True, text=True, timeout=10,
+        )
+    except (OSError, subprocess.TimeoutExpired):
+        return None
+    return out.stdout.strip() if out.returncode == 0 else None
+
+
+def _src_sha256() -> str:
+    """Content hash of ``src/``: identifies the code even without git."""
+    src = os.path.join(REPO_ROOT, "src")
+    h = hashlib.sha256()
+    for dirpath, dirnames, filenames in os.walk(src):
+        dirnames.sort()
+        for name in sorted(filenames):
+            if name.endswith(".py"):
+                path = os.path.join(dirpath, name)
+                h.update(os.path.relpath(path, src).encode())
+                with open(path, "rb") as fh:
+                    h.update(fh.read())
+    return h.hexdigest()
+
+
+def _cpu_model() -> Optional[str]:
+    try:
+        with open("/proc/cpuinfo") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or None
+
+
+def environment() -> Dict:
+    """Where a result was measured: code identity, CPU and versions."""
+    import numpy
+
+    return {
+        "git_sha": _git_sha(),
+        "src_sha256": _src_sha256(),
+        "nproc": (
+            len(os.sched_getaffinity(0))
+            if hasattr(os, "sched_getaffinity")
+            else os.cpu_count()
+        ),
+        "cpu_model": _cpu_model(),
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+    }
+
+
 def record_repo_json(filename: str, payload: Dict) -> str:
     """Write a machine-readable result file at the repository root.
 
     Used for headline numbers that gate CI or document the repo's
     current performance (e.g. ``BENCH_kernels.json``), as opposed to
-    the per-figure series under ``benchmarks/results/``.
+    the per-figure series under ``benchmarks/results/``.  Every file is
+    stamped with an ``env`` block (:func:`environment`), so results
+    stay comparable across commits and machines.
     """
     path = os.path.join(REPO_ROOT, filename)
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
+        json.dump(
+            dict(payload, env=environment()), fh, indent=1, sort_keys=True
+        )
         fh.write("\n")
     return path
 

@@ -2,7 +2,7 @@
 
 The paper's dominant cost is GLCM accumulation (Section 4.4.1), so the
 scan kernel is dispatchable behind one stable interface — the Region
-Templates idea of backend-selectable kernels.  Five backends:
+Templates idea of backend-selectable kernels.  Four backends:
 
 ``"batched"``
     :func:`repro.core.cooccurrence.cooccurrence_scan`.  One ``bincount``
@@ -12,33 +12,28 @@ Templates idea of backend-selectable kernels.  Five backends:
 
 ``"incremental"``
     :func:`incremental_scan` (this module).  The rolling kernel: Eq. (1)
-    overlap means adjacent ROIs along the innermost axis share all but
-    one hyperplane of pair codes, so the scan histograms each
-    code *hyperplane* once and reconstructs every window's GLCM as a
-    sliding sum of plane histograms along the axis.  Per-ROI work drops to
+    overlap means adjacent ROIs along one axis share all but one
+    hyperplane of pair codes, so the scan histograms each code
+    *hyperplane* once and reconstructs every window's GLCM as a sliding
+    sum of plane histograms along that axis.  Per-ROI work drops to
     ``O(ROI_face)`` pair codes per direction, and directions are grouped
-    by trailing window extent so the dense ``G x G`` accumulation is
-    paid once per *group* (2 groups for the paper setup) instead of once
-    per direction (40 for 4D) — the dominant saving for ``G = 32``.
-
-``"megabatch"``
-    :func:`megabatch_scan` (this module).  The chunk-at-once kernel:
-    the same hyperplane sharing as ``incremental``, but the pair codes
-    of every direction are concatenated into *one* flat array per
-    chunk, every row's hyperplanes are gathered through precomputed
-    flat-index tables (:func:`~repro.core.workspace.scan_offsets`,
-    cached per (chunk shape, ROI shape, distance)), and all windows'
-    GLCMs accumulate directly into a single ``(n_windows, G*G)``
-    output — one mega fancy-gather and one ``bincount`` per direction
-    group per row block, no per-ROI dispatch, no emission copies
-    (batches are views of the accumulator).
+    by window extent along the axis so the dense ``G x G`` accumulation
+    is paid once per *group* (2 for the paper setup) instead of once per
+    direction (40 for 4D).  The axis is planned per chunk geometry
+    (:func:`~repro.core.workspace.rolling_plan`): the longest axis shares
+    the most codes between neighbours, but its row blocks must stay
+    cache-sized, so the plan weighs codes gathered, histogram bins and
+    window-sum passes per window over the axes whose slabs fit the block
+    target.  The chunk is transposed once so that axis is innermost; one
+    transpose per block of whole slabs restores raster order and
+    symmetrizes in the same pass.
 
 ``"gpu"``
     :func:`repro.core.gpu.gpu_scan`.  Import-guarded GPU backend: the
     same pair-code scatter formulation on a CUDA device via CuPy (or a
     Numba-CUDA atomic-add kernel when CuPy is absent), one chunk
     transferred in and one GLCM block out.  Falls back cleanly to
-    ``megabatch`` — with a :class:`~repro.core.gpu.GpuUnavailableWarning`
+    ``incremental`` — with a :class:`~repro.core.gpu.GpuUnavailableWarning`
     and a ``kernel.fallback`` obs event from the filters — on machines
     without a device.
 
@@ -62,6 +57,7 @@ callable directly with :func:`get_kernel`.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -77,12 +73,7 @@ from .cooccurrence import (
 from .directions import Direction
 from .quantization import num_levels_ok
 from .roi import ROISpec, iter_roi_origins, valid_positions_shape
-from .workspace import (
-    WORKSPACE_BYTES,
-    pair_shift,
-    scan_offsets,
-    symmetrize_inplace,
-)
+from .workspace import pair_shift, rolling_plan
 
 __all__ = [
     "KERNELS",
@@ -91,7 +82,6 @@ __all__ = [
     "get_kernel",
     "resolve_scan_kernel",
     "incremental_scan",
-    "megabatch_scan",
     "reference_scan",
 ]
 
@@ -146,7 +136,10 @@ def reference_scan(
 
 
 def _rolling_groups(
-    data: np.ndarray, roi: ROISpec, levels: int, dirs: Sequence[Direction]
+    data: np.ndarray,
+    roi_shape: Tuple[int, ...],
+    levels: int,
+    dirs: Sequence[Direction],
 ) -> Dict[int, List[Tuple[np.ndarray, int]]]:
     """Per-direction hyperplane views, grouped by trailing window extent.
 
@@ -155,67 +148,93 @@ def _rolling_groups(
     innermost axis whole, so ``view[row_origin][j]`` is the hyperplane of
     codes at innermost index ``j`` for that scan row.  Directions with
     equal ``W[-1]`` share plane alignment and can be histogrammed with a
-    single ``bincount``.
+    single ``bincount``.  Groups are ordered widest first.
     """
     nd = data.ndim
     groups: Dict[int, List[Tuple[np.ndarray, int]]] = {}
     for v in dirs:
-        absv = tuple(abs(c) for c in v)
-        if any(roi.shape[i] <= absv[i] for i in range(nd)):
+        w = tuple(r - abs(c) for r, c in zip(roi_shape, v))
+        if min(w) <= 0:
             continue  # pairs never fit inside the ROI for this direction
         codes, _ = pair_code_array(data, levels, v)
-        w = tuple(roi.shape[i] - absv[i] for i in range(nd))
         view = sliding_window_view(codes, w[:-1], axis=tuple(range(nd - 1)))
-        face = 1
-        for c in w[:-1]:
-            face *= c
-        groups.setdefault(w[-1], []).append((view, face))
-    return groups
+        groups.setdefault(w[-1], []).append((view, math.prod(w[:-1])))
+    return dict(sorted(groups.items(), reverse=True))
 
 
-#: Target byte size of one internal row block.  Keeping the per-block
-#: histogram working set cache-sized is worth ~20% over maximally large
-#: blocks; always additionally capped by ``WORKSPACE_BYTES``.
-_BLOCK_TARGET_BYTES = 8 * 2**20
+def _window_terms(h: np.ndarray, w: int, n: int) -> Tuple[np.ndarray, ...]:
+    """One or two arrays whose sum is ``sum(h[:, k : k + n] for k < w)``.
+
+    The partial sums are built by doubling — ``S_2k = S_k + S_k`` shifted
+    by ``k``, ``S_k+1 = S_k + h`` shifted by ``k`` — so ``w`` planes cost
+    about ``log2(w)`` passes instead of ``w``.
+    """
+    if w == 1:
+        return (h[:, :n],)
+    if w % 2:
+        return (_window_sum(h, w - 1, n), h[:, w - 1 : w - 1 + n])
+    half = _window_sum(h, w // 2, n + w // 2)
+    return (half[:, :n], half[:, w // 2 : w // 2 + n])
+
+
+def _window_sum(h: np.ndarray, w: int, n: int) -> np.ndarray:
+    terms = _window_terms(h, w, n)
+    return np.add(*terms) if len(terms) == 2 else terms[0]
 
 
 def _rolling_block(
     groups: Dict[int, List[Tuple[np.ndarray, int]]],
     block_bufs: Dict[int, np.ndarray],
     lead: Tuple[int, ...],
-    row_len: int,
     r0: int,
-    rb: int,
-    levels: int,
-) -> np.ndarray:
-    """Count matrices of ``rb`` whole scan rows starting at row ``r0``.
+    mats: np.ndarray,
+) -> None:
+    """Count matrices of the ``len(mats)`` scan rows from row ``r0``.
 
-    Per group: gather every code hyperplane of every row into the pooled
-    block buffer, histogram them with one ``bincount``, then accumulate
-    the ``W_t`` shifted plane-histogram layers — GLCM ``t`` of a row is
-    the sum of planes ``[t, t + W_t)``.
+    ``mats`` is ``(rows, row_len, G*G)``.  Per group: gather every code
+    hyperplane of every row into the pooled block buffer, shifted into
+    disjoint per-(row, plane) histogram segments in the same pass,
+    histogram them with one ``bincount``.  GLCM ``t`` of a row is the
+    sum over groups of planes ``[t, t + W_t)``; narrower groups are
+    folded into the wider histograms first, so the sliding sums run once
+    over the combined planes instead of once per group.
     """
-    gg = levels * levels
-    mats = np.zeros((rb, row_len, gg), dtype=np.int64)
-    idx = (
-        np.unravel_index(np.arange(r0, r0 + rb), lead) if lead else None
-    )
+    rb, row_len, gg = mats.shape
+    idx = np.unravel_index(np.arange(r0, r0 + rb), lead) if lead else None
+    terms: List[np.ndarray] = []
+    acc_w, acc = 0, None
     for wt, members in groups.items():
         n_planes = row_len - 1 + wt
         block = block_bufs[wt][:rb]
+        shift = pair_shift(rb * n_planes, gg).reshape(rb, n_planes, 1)
         off = 0
         for view, face in members:
-            g = view[idx] if idx is not None else np.array(view[np.newaxis])
-            block[:, :, off : off + face] = g.reshape(rb, n_planes, face)
+            src = view[idx] if idx is not None else view[np.newaxis]
+            np.add(
+                src.reshape(rb, n_planes, face),
+                shift,
+                out=block[:, :, off : off + face],
+            )
             off += face
-        # Disjoint histogram segments per (row, plane), one bincount for
-        # the whole group.
-        block += pair_shift(rb * n_planes, gg).reshape(rb, n_planes, 1)
-        h = np.bincount(block.reshape(-1), minlength=rb * n_planes * gg)
-        c = h.reshape(rb, n_planes, gg)
-        for k in range(wt):
-            mats += c[:, k : k + row_len]
-    return mats.reshape(rb * row_len, levels, levels)
+        h = np.bincount(
+            block.reshape(-1), minlength=rb * n_planes * gg
+        ).reshape(rb, n_planes, gg)
+        if acc is not None:
+            # Groups arrive widest first.  Fold this one in:
+            # win_a(A) + win_b(B) = win_b(A[:, :n+b-1] + B) + win_{a-b}(A[:, b:])
+            terms.append(_window_sum(acc[:, wt:], acc_w - wt, row_len))
+            h += acc[:, :n_planes]
+        acc_w, acc = wt, h
+    if acc is None:
+        mats.fill(0)  # no direction fits the window
+        return
+    terms.extend(_window_terms(acc, acc_w, row_len))
+    if len(terms) == 1:
+        np.copyto(mats, terms[0])
+        return
+    np.add(terms[0], terms[1], out=mats)
+    for t in terms[2:]:
+        mats += t
 
 
 def incremental_scan(
@@ -228,7 +247,7 @@ def incremental_scan(
     symmetric: bool = True,
     validate: bool = True,
 ) -> Iterator[Tuple[int, np.ndarray]]:
-    """Incremental (rolling) raster scan along the innermost axis.
+    """Incremental (rolling) raster scan along the planned axis.
 
     Same yield contract and bit-identical matrices as
     :func:`~repro.core.cooccurrence.cooccurrence_scan`; see the module
@@ -244,217 +263,80 @@ def incremental_scan(
     if batch < 1:
         raise ValueError(f"batch must be >= 1, got {batch}")
     grid = valid_positions_shape(data.shape, roi)
-    npos = int(np.prod(grid))
+    npos = math.prod(grid)
     dirs = resolve_directions(data.ndim, directions, distance)
+    plan = rolling_plan(data.shape, roi, tuple(dirs), levels)
+    order = plan.order
+    # Roll along the planned axis by making it innermost.  The pair (a at
+    # p, b at p + v) keeps its code a*G + b under the permutation, so the
+    # counts are unchanged for either ``symmetric``.
+    groups = _rolling_groups(
+        np.ascontiguousarray(data.transpose(order)),
+        tuple(roi.shape[i] for i in order),
+        levels,
+        [tuple(v[i] for i in order) for v in dirs],
+    )
     gg = levels * levels
-    row_len = grid[-1]
-    lead = grid[:-1]
-    n_rows = npos // row_len
-    groups = _rolling_groups(data, roi, levels, dirs)
-
-    # Rows per internal block: each row costs the gathered code block
-    # plus the histogram segments, per group, plus its output matrices.
-    # Sized for cache residency, and never beyond the workspace budget.
-    worst = row_len * gg
-    for wt, members in groups.items():
-        total_face = sum(face for _view, face in members)
-        worst += (row_len - 1 + wt) * (total_face + gg)
-    budget = min(WORKSPACE_BYTES, _BLOCK_TARGET_BYTES)
-    rows_per_block = max(1, budget // (8 * worst))
+    row_len = grid[plan.axis]
+    lead = tuple(grid[i] for i in order[:-1])
+    slab_rows = plan.slab_rows
+    n_slabs = npos // (row_len * slab_rows)
+    per_block = min(plan.slabs_per_block, n_slabs)
     block_bufs = {
         wt: np.empty(
-            (
-                min(rows_per_block, n_rows),
-                row_len - 1 + wt,
-                sum(face for _view, face in members),
-            ),
+            (per_block * slab_rows, row_len - 1 + wt,
+             sum(face for _view, face in members)),
             dtype=np.int64,
         )
         for wt, members in groups.items()
     }
+    mats_buf = np.empty((per_block * slab_rows, row_len, gg), dtype=np.int64)
+
+    def restore_order(m: np.ndarray, out: np.ndarray) -> np.ndarray:
+        # Whole slabs: one transpose of (slab row, position along the
+        # axis) restores raster order, and symmetrizes in the same pass.
+        m = m.reshape(-1, slab_rows, row_len, levels, levels)
+        dst = out.reshape(m.shape[0], row_len, slab_rows, levels, levels)
+        if symmetric:
+            np.add(
+                m.transpose(0, 2, 1, 3, 4), m.transpose(0, 2, 1, 4, 3), out=dst
+            )
+        else:
+            np.copyto(dst, m.transpose(0, 2, 1, 3, 4))
+        return out
 
     emit_start = 0
-    buf: Optional[np.ndarray] = None
-    buf_fill = 0
-    b_cur = 0
-    for r0 in range(0, n_rows, rows_per_block):
-        rb = min(rows_per_block, n_rows - r0)
-        mats_block = _rolling_block(
-            groups, block_bufs, lead, row_len, r0, rb, levels
-        )
-        if symmetric:
-            symmetrize_inplace(mats_block)
+    out: Optional[np.ndarray] = None
+    fill = 0
+    for s0 in range(0, n_slabs, per_block):
+        m = mats_buf[: min(per_block, n_slabs - s0) * slab_rows]
+        _rolling_block(groups, block_bufs, lead, s0 * slab_rows, m)
+        # The block's matrices go straight into the output batch when
+        # they fit; a block straddling batches is staged once.
+        n = m.shape[0] * row_len
+        staged = None
         pos = 0
-        nblk = mats_block.shape[0]
-        while pos < nblk:
-            if buf is None:
-                b_cur = min(batch, npos - emit_start)
-                if nblk - pos >= b_cur:
-                    # Whole output batch available in this block: yield a
-                    # view, no assembly copy.
-                    yield emit_start, mats_block[pos : pos + b_cur]
-                    emit_start += b_cur
-                    pos += b_cur
-                    continue
-                buf = np.empty((b_cur, levels, levels), dtype=np.int64)
-                buf_fill = 0
-            take = min(b_cur - buf_fill, nblk - pos)
-            buf[buf_fill : buf_fill + take] = mats_block[pos : pos + take]
-            buf_fill += take
-            pos += take
-            if buf_fill == b_cur:
-                yield emit_start, buf
-                emit_start += b_cur
-                buf = None
-
-
-def megabatch_scan(
-    data: np.ndarray,
-    roi: ROISpec,
-    levels: int,
-    directions: Optional[Sequence[Direction]] = None,
-    distance: int = 1,
-    batch: int = 2048,
-    symmetric: bool = True,
-    validate: bool = True,
-) -> Iterator[Tuple[int, np.ndarray]]:
-    """Chunk-at-once mega-batched scan.
-
-    Builds the pair-code array of the whole chunk once (one flat
-    concatenation over all directions), then histograms *every*
-    window's GLCM into a single ``(n_windows, G*G)`` accumulator using
-    the cached gather geometry of
-    :func:`~repro.core.workspace.scan_offsets` — per-direction sliding
-    views over each cache-resident code segment, fused with the
-    bincount row shift.  The yielded batches are views of the
-    accumulator, so there is no per-ROI dispatch and no emission copy.
-    Same yield contract and bit-identical matrices as
-    ``reference_scan``.
-    """
-    data = np.asarray(data)
-    if validate:
-        check_levels(data, levels)
-    else:
-        num_levels_ok(levels)
-    if data.ndim != roi.ndim:
-        raise ValueError(f"data ndim {data.ndim} != ROI ndim {roi.ndim}")
-    if batch < 1:
-        raise ValueError(f"batch must be >= 1, got {batch}")
-    grid = valid_positions_shape(data.shape, roi)
-    npos = int(np.prod(grid))
-    dirs = resolve_directions(data.ndim, directions, distance)
-    gg = levels * levels
-    offs = scan_offsets(data.shape, roi, tuple(dirs))
-
-    # The chunk's pair codes, every direction's array flattened into one
-    # buffer so one gather serves the whole direction group.
-    codes_cat = np.empty(offs.cat_size, dtype=np.int64)
-    for v, seg_start, seg_stop in offs.segments:
-        codes, _ = pair_code_array(data, levels, v)
-        codes_cat[seg_start:seg_stop] = codes.reshape(-1)
-
-    # No fitting direction (every displacement overflows the ROI): all
-    # matrices stay zero.  Otherwise the accumulator is fully written
-    # slab by slab, so it can start uninitialized.
-    mats = (
-        np.zeros((npos, gg), dtype=np.int64)
-        if not offs.groups
-        else np.empty((npos, gg), dtype=np.int64)
-    )
-    mrows = mats.reshape(offs.n_rows, offs.row_len, gg)
-
-    # Rows per internal block: the output slab plus, per group, the
-    # gathered code block and its bincount segments — sized for cache
-    # residency so the slab stays hot from accumulation through
-    # symmetrization, and never beyond the workspace budget.
-    worst = offs.row_len * gg
-    for g in offs.groups:
-        worst += g.n_planes * (g.total_face + gg)
-    budget = min(WORKSPACE_BYTES, _BLOCK_TARGET_BYTES)
-    rows_per_block = max(1, min(offs.n_rows, budget // (8 * worst)))
-
-    # Per-group reusable gather buffers and per-member sliding views over
-    # the concatenated code buffer.  Gathering per member segment keeps
-    # each gather's source inside one direction's cache-resident slice of
-    # ``codes_cat`` — striding the whole buffer per scan row thrashes the
-    # cache and measures ~2x slower.
-    lead_axes = tuple(range(data.ndim - 1))
-    bufs = []
-    for g in offs.groups:
-        views = []
-        for seg_start, cshape, wlead, face in g.members:
-            size = 1
-            for c in cshape:
-                size *= c
-            codes = codes_cat[seg_start : seg_start + size].reshape(cshape)
-            if data.ndim > 1:
-                views.append(
-                    (sliding_window_view(codes, wlead, axis=lead_axes), face)
+        while pos < n:
+            if out is None:
+                out = np.empty(
+                    (min(batch, npos - emit_start), levels, levels), np.int64
                 )
+                fill = 0
+            take = min(out.shape[0] - fill, n - pos)
+            if take == n:
+                restore_order(m, out[fill : fill + n])
             else:
-                views.append((codes, face))
-        block_buf = np.empty(
-            (rows_per_block, g.n_planes, g.total_face), dtype=np.int64
-        )
-        bufs.append((g, views, block_buf))
-
-    lead = offs.grid[:-1]
-    origins = np.unravel_index(np.arange(offs.n_rows), lead) if lead else None
-    # Hot-slab symmetrization scratch: one transposed slab.  ``m += m.T``
-    # per matrix through a full (blocked) transpose copy is several times
-    # faster than triangle-indexed in-place symmetrization, and with the
-    # whole-chunk accumulator the scratch stays bounded by the slab.
-    sym_buf = (
-        np.empty((rows_per_block * offs.row_len, levels, levels), dtype=np.int64)
-        if symmetric
-        else None
-    )
-
-    out = mats.reshape(npos, levels, levels)
-    for r0 in range(0, offs.n_rows, rows_per_block):
-        rb = min(rows_per_block, offs.n_rows - r0)
-        m = mrows[r0 : r0 + rb]
-        idx = (
-            tuple(o[r0 : r0 + rb] for o in origins)
-            if origins is not None
-            else None
-        )
-        shifts = [
-            pair_shift(rb * g.n_planes, gg).reshape(rb, g.n_planes, 1)
-            for g, _views, _buf in bufs
-        ]
-        first = True
-        for (g, views, block_buf), shift in zip(bufs, shifts):
-            block = block_buf[:rb]
-            off = 0
-            for vw, face in views:
-                src = vw[idx] if idx is not None else vw[np.newaxis]
-                # Fused gather + per-(row, plane) bincount-segment shift:
-                # one write pass into the block instead of copy-then-add.
-                np.add(
-                    src.reshape(rb, g.n_planes, face),
-                    shift,
-                    out=block[:, :, off : off + face],
-                )
-                off += face
-            h = np.bincount(
-                block.reshape(-1), minlength=rb * g.n_planes * gg
-            ).reshape(rb, g.n_planes, gg)
-            # GLCM at row position t is the sum of planes [t, t + W_t).
-            for k in range(g.trailing_extent):
-                if first:
-                    np.copyto(m, h[:, k : k + offs.row_len])
-                    first = False
-                else:
-                    m += h[:, k : k + offs.row_len]
-        if symmetric:
-            # While the slab is still cache-hot.
-            slab = out[r0 * offs.row_len : (r0 + rb) * offs.row_len]
-            t = sym_buf[: slab.shape[0]]
-            np.copyto(t, slab.transpose(0, 2, 1))
-            slab += t
-    for start in range(0, npos, batch):
-        yield start, out[start : start + batch]
+                if staged is None:
+                    staged = restore_order(
+                        m, np.empty((n, levels, levels), np.int64)
+                    )
+                out[fill : fill + take] = staged[pos : pos + take]
+            fill += take
+            pos += take
+            if fill == out.shape[0]:
+                yield emit_start, out
+                emit_start += fill
+                out = None
 
 
 def _gpu_scan(
@@ -485,7 +367,6 @@ _REGISTRY: Dict[str, ScanKernel] = {
     "batched": cooccurrence_scan,
     "gpu": _gpu_scan,
     "incremental": incremental_scan,
-    "megabatch": megabatch_scan,
     "reference": reference_scan,
 }
 
@@ -497,11 +378,9 @@ KERNEL_INFO: Dict[str, str] = {
     "batched": "vectorized windowed bincount; O(ROI volume) codes per "
                "ROI per direction",
     "gpu": "CuPy (or Numba-CUDA) pair-code scatter on a CUDA device; "
-           "falls back to megabatch without one",
-    "incremental": "rolling hyperplane histograms (default); O(ROI face) "
-                   "codes per ROI, streams batches as computed",
-    "megabatch": "chunk-at-once mega-batch; cached offset tables, "
-                 "whole-chunk accumulator, zero-copy batch views",
+           "falls back to incremental without one",
+    "incremental": "rolling hyperplane histograms along the cheapest "
+                   "axis (default); O(ROI face) codes per ROI",
     "reference": "paper Fig. 2 loop, one window at a time; ground "
                  "truth, slow",
 }
@@ -543,7 +422,7 @@ def resolve_scan_kernel(name: str):
         if not probe.available:
             return scan, {
                 "requested": "gpu",
-                "used": "megabatch",
+                "used": "incremental",
                 "reason": probe.detail,
             }
     return scan, None

@@ -10,7 +10,7 @@ consumes those metrics in two loops:
 
 **Offline** (:mod:`~repro.tuning.sweep` + :mod:`~repro.tuning.costmodel`):
 ``repro tune`` runs a small pilot workload across chunk shape × copy
-counts × transport × kernel, consumes :class:`MetricsRegistry` snapshots
+counts × transport, consumes :class:`MetricsRegistry` snapshots
 from each run, fits a simple cost model, and emits a
 :class:`~repro.tuning.profile.TuningProfile` (JSON) that
 ``run_pipeline``/``AnalysisConfig`` load via ``--profile``.

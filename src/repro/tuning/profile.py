@@ -17,6 +17,7 @@ import os
 from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Dict, Optional, Tuple
 
+from repro.core.backends import KERNELS
 from repro.pipeline.config import AnalysisConfig
 
 __all__ = ["TuningProfile", "load_profile", "PROFILE_VERSION"]
@@ -69,6 +70,11 @@ class TuningProfile:
         for key, n in self.copies.items():
             if int(n) < 1:
                 raise ValueError(f"copies[{key!r}] must be >= 1, got {n}")
+        if self.kernel is not None and self.kernel not in KERNELS:
+            raise ValueError(
+                f"profile field 'kernel': unknown scan kernel "
+                f"{self.kernel!r} (valid kernels: {KERNELS})"
+            )
 
     # -- application -------------------------------------------------------
 

@@ -2,7 +2,8 @@
 
 ``run_sweep`` executes a small pilot analysis — by default a generated
 phantom dataset, or any dataset the caller points it at — once per
-candidate in a grid of chunk shape × copy counts × transport × kernel,
+candidate in a grid of chunk shape × copy counts × transport (plus any
+other knob the caller's grid names, such as ``kernel``),
 consuming each run's :class:`MetricsRegistry` snapshot (queue wait vs.
 service time, buffer occupancy, bytes moved).  It fits the
 :mod:`~repro.tuning.costmodel` over the measurements, verifies every
@@ -25,7 +26,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.backends import KERNELS
 from repro.pipeline.config import AnalysisConfig, clip_chunk_shape
 
 from .costmodel import CostModel, candidate_key, fit_cost_model
@@ -65,15 +65,17 @@ class PilotSpec:
 
 
 def default_grid(runtime: str = "processes") -> Dict[str, Sequence[Any]]:
-    """The stock candidate grid: chunk × copies × transport × kernel."""
-    kernels = [k for k in ("incremental", "megabatch") if k in KERNELS]
+    """The stock candidate grid: chunk × copies × transport.
+
+    There is no kernel axis: ``incremental`` is the one fast CPU kernel,
+    and the config default already selects it.
+    """
     return {
         "chunk_shape": [(16, 16, 8, 4), (24, 24, 8, 4)],
         "copies": [{"texture": 1}, {"texture": 2}],
         "transport": (
             ["pipe", "shm"] if runtime == "processes" else [None]
         ),
-        "kernel": kernels or ["batched"],
     }
 
 

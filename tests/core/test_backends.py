@@ -1,5 +1,7 @@
 """Unit tests for the pluggable GLCM scan-backend layer."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -11,17 +13,28 @@ from repro.core.backends import (
     KERNELS,
     get_kernel,
     incremental_scan,
-    megabatch_scan,
     reference_scan,
 )
-from repro.core.cooccurrence import check_levels, cooccurrence_scan
+from repro.core.cooccurrence import (
+    check_levels,
+    cooccurrence_scan,
+    resolve_directions,
+)
 from repro.core.raster import raster_scan, raster_scan_reference
-from repro.core.roi import ROISpec
-from repro.core.workspace import pair_shift, symmetric_index, symmetrize_inplace
+from repro.core.roi import ROISpec, valid_positions_shape
+from repro.core import workspace
+from repro.core.workspace import (
+    BLOCK_TARGET_BYTES,
+    WORKSPACE_BYTES,
+    pair_shift,
+    rolling_plan,
+    symmetric_index,
+    symmetrize_inplace,
+)
 from repro.filters.messages import TextureParams
 
 # The "gpu" entry participates in the generic registry loops below; on a
-# machine without a CUDA device it falls back to megabatch with a warning
+# machine without a CUDA device it falls back to incremental with a warning
 # (the warning itself is covered in tests/core/test_gpu_backend.py).
 pytestmark = pytest.mark.filterwarnings(
     "ignore::repro.core.gpu.GpuUnavailableWarning"
@@ -36,16 +49,13 @@ def small_volume():
 
 class TestRegistry:
     def test_kernels_contents(self):
-        assert KERNELS == (
-            "batched", "gpu", "incremental", "megabatch", "reference"
-        )
+        assert KERNELS == ("batched", "gpu", "incremental", "reference")
         assert DEFAULT_KERNEL in KERNELS
         assert set(KERNEL_INFO) == set(KERNELS)
 
     def test_get_kernel_resolves(self):
         assert get_kernel("batched") is cooccurrence_scan
         assert get_kernel("incremental") is incremental_scan
-        assert get_kernel("megabatch") is megabatch_scan
         assert get_kernel("reference") is reference_scan
 
     def test_get_kernel_unknown(self):
@@ -55,8 +65,8 @@ class TestRegistry:
     def test_get_kernel_suggests_close_match(self):
         with pytest.raises(ValueError, match="did you mean 'incremental'"):
             get_kernel("incrmental")
-        with pytest.raises(ValueError, match="did you mean 'megabatch'"):
-            get_kernel("megabatched")
+        with pytest.raises(ValueError, match="did you mean 'reference'"):
+            get_kernel("referense")
         # Nothing close: no suggestion, but the valid list is shown.
         with pytest.raises(ValueError, match=r"valid kernels") as exc:
             get_kernel("turbo")
@@ -160,3 +170,62 @@ class TestWorkspace:
     def test_symmetrize_inplace_single_level(self):
         mats = np.full((2, 1, 1), 3, dtype=np.int64)
         assert np.array_equal(symmetrize_inplace(mats), np.full((2, 1, 1), 6))
+
+
+PAPER_ROI = ROISpec((5, 5, 5, 3))
+PAPER_DIRS = tuple(resolve_directions(4))
+
+
+class TestRollingPlan:
+    def test_paper_chunk_rolls_along_z(self):
+        # At 32x32x12x6 the x and y slabs are far over the block target;
+        # z gathers 2,458 codes per window against t's 4,300.
+        plan = rolling_plan((32, 32, 12, 6), PAPER_ROI, PAPER_DIRS, 32)
+        assert plan.axis == 2
+        assert plan.order == (0, 1, 3, 2)
+        assert plan.cost[0] is None and plan.cost[1] is None
+        assert round(plan.codes[2]) == 2458 and round(plan.codes[3]) == 4300
+        assert plan.slab_rows == 4  # the t extent of the position grid
+
+    def test_cached_per_geometry(self):
+        a = rolling_plan((20, 20, 12, 7), PAPER_ROI, PAPER_DIRS, 32)
+        assert rolling_plan((20, 20, 12, 7), PAPER_ROI, PAPER_DIRS, 32) is a
+        for other in (
+            rolling_plan((20, 20, 12, 8), PAPER_ROI, PAPER_DIRS, 32),
+            rolling_plan((20, 20, 12, 7), ROISpec((5, 5, 5, 2)), PAPER_DIRS, 32),
+            rolling_plan((20, 20, 12, 7), PAPER_ROI, PAPER_DIRS[:13], 32),
+            rolling_plan((20, 20, 12, 7), PAPER_ROI, PAPER_DIRS, 16),
+        ):
+            assert other is not a
+
+    def test_built_at_first_scan(self):
+        workspace._geometry_cache.clear()
+        data = np.zeros((9, 8, 7, 6), dtype=np.int32)
+        roi = ROISpec((3, 3, 3, 2))
+        dirs = tuple(resolve_directions(4))
+        key = ("plan", data.shape, roi.shape, dirs, 8)
+        assert key not in workspace._geometry_cache
+        next(incremental_scan(data, roi, 8))
+        assert workspace._geometry_cache[key] is rolling_plan(
+            data.shape, roi, dirs, 8
+        )
+
+    @pytest.mark.parametrize("shape, levels", [
+        ((32, 32, 12, 6), 32), ((8, 32, 12, 6), 32), ((20, 20, 12, 7), 64),
+        ((64, 8, 12, 6), 16), ((9, 40, 40, 4), 32), ((40, 40, 6, 6), 64),
+    ])
+    def test_never_picks_a_slab_over_the_block_budget(self, shape, levels):
+        plan = rolling_plan(shape, PAPER_ROI, PAPER_DIRS, levels)
+        grid = valid_positions_shape(shape, PAPER_ROI)
+        budget = min(WORKSPACE_BYTES, BLOCK_TARGET_BYTES)
+        for axis, cost in enumerate(plan.cost):
+            # A slab's window sums plus its reordered output alone.
+            slab = 2 * 8 * levels**2 * math.prod(grid[axis:])
+            if slab > budget and axis < 3:
+                assert cost is None, axis
+        if plan.axis < 3:
+            slab = 2 * 8 * levels**2 * math.prod(grid[plan.axis :])
+            assert plan.slabs_per_block * slab <= budget
+        # The pick is the cheapest axis left.
+        costs = {a: c for a, c in enumerate(plan.cost) if c is not None}
+        assert costs[plan.axis] == min(costs.values())

@@ -1,7 +1,7 @@
 """Property-based tests: every scan backend is bit-identical to the
 reference Fig. 2 kernel.
 
-The batched, incremental and megabatch backends are pure performance
+The batched and incremental backends are pure performance
 reimplementations of ``reference_scan`` — integer count arithmetic only,
 so equality must be exact (``array_equal``), not approximate, across
 random dimensionalities, ROI shapes (including degenerate extent-1
@@ -9,7 +9,7 @@ windows and directions that do not fit the window), direction subsets,
 distances >= 1, grey-level counts, batch sizes and the symmetric flag.
 
 The ``gpu`` kernel is excluded from the generic loops: without a CUDA
-device it is megabatch behind a fallback warning (covered in
+device it is incremental behind a fallback warning (covered in
 ``tests/core/test_gpu_backend.py``); with one, the ``@pytest.mark.gpu``
 property test at the bottom runs the same bit-identity law on device.
 """
@@ -23,15 +23,16 @@ from hypothesis import given, settings, strategies as st
 from repro.core.backends import (
     KERNELS,
     get_kernel,
-    megabatch_scan,
+    incremental_scan,
     reference_scan,
 )
+from repro.core.cooccurrence import resolve_directions
 from repro.core.directions import unique_directions
 from repro.core.gpu import gpu_scan, probe_gpu
 from repro.core.masking import mask_to_positions, masked_feature_samples
 from repro.core.raster import raster_scan
 from repro.core.roi import ROISpec, valid_positions_shape
-from repro.core.workspace import WORKSPACE_BYTES
+from repro.core.workspace import WORKSPACE_BYTES, rolling_plan
 
 # Kernels exercised by the generic hypothesis loops (everything but the
 # device-dependent gpu entry).
@@ -103,6 +104,65 @@ class TestBackendBitIdentity:
         assert np.array_equal(a, b)
 
 
+@st.composite
+def planned_axis_cases(draw):
+    """Geometry whose rolling plan picks a drawn axis.
+
+    The target axis gets the long grid extent and every window axis is
+    4 wide, so rolling along the target shares the most pair codes; at
+    two grey levels the histogram bins are too cheap to outweigh that.
+    Axes after the target keep grid extent 1 or 2, so a slab holds
+    several scan rows and the whole-slab reorder is exercised.
+    """
+    ndim = draw(st.integers(1, 3))
+    axis = draw(st.integers(0, ndim - 1))
+    roi = (4,) * ndim
+    shape = tuple(
+        4 + (draw(st.integers(6, 10)) if i == axis else draw(st.integers(0, 1)))
+        for i in range(ndim)
+    )
+    distance = draw(st.integers(1, 2))
+    dirs = unique_directions(ndim)
+    if ndim > 1:
+        # Always one direction with no component along the axis; some
+        # subsets have only such directions (a single window group).
+        across = [v for v in dirs if v[axis] == 0]
+        if draw(st.booleans()):
+            dirs = across
+        subset = draw(st.permutations(range(len(dirs))))
+        n = draw(st.integers(1, len(dirs)))
+        chosen = {dirs[i] for i in subset[:n]} | {draw(st.sampled_from(across))}
+        directions = tuple(sorted(chosen))
+    else:
+        directions = tuple(dirs)
+    batch = draw(st.sampled_from([1, 3, 5, 7, 11, 4096]))
+    symmetric = draw(st.booleans())
+    seed = draw(st.integers(0, 2**31 - 1))
+    data = np.random.default_rng(seed).integers(0, 2, size=shape)
+    return axis, data, ROISpec(roi), directions, distance, batch, symmetric
+
+
+class TestRollingPlanCoverage:
+    @given(case=planned_axis_cases())
+    @settings(max_examples=80, deadline=None)
+    def test_every_planned_axis_bit_identical(self, case):
+        axis, data, roi, directions, distance, batch, symmetric = case
+        dirs = resolve_directions(data.ndim, directions, distance)
+        plan = rolling_plan(data.shape, roi, tuple(dirs), 2)
+        assert plan.axis == axis
+        ref = _collect(reference_scan, data, roi, 2, directions, distance,
+                       batch, symmetric)
+        # Yielded batches are kept as returned (no copy): a buffer the
+        # kernel reused across blocks would corrupt the earlier batches.
+        parts = [
+            m for _s, m in incremental_scan(
+                data, roi, 2, directions, distance,
+                batch=batch, symmetric=symmetric,
+            )
+        ]
+        assert np.array_equal(np.concatenate(parts), ref)
+
+
 def _identical(a_scan, b_scan, data, roi, levels, **kw):
     a = [(s, np.array(m)) for s, m in a_scan(data, roi, levels, **kw)]
     b = [(s, np.array(m)) for s, m in b_scan(data, roi, levels, **kw)]
@@ -113,24 +173,27 @@ def _identical(a_scan, b_scan, data, roi, levels, **kw):
 
 
 class TestMegabatchEdgeCases:
-    """Deterministic corner cases the whole-chunk accumulator must get
-    right: they stress the row/plane bookkeeping (degenerate windows, no
-    fitting direction), the non-cubic stride math, and the all-equal
-    histogram degenerate case."""
+    """Deterministic corner cases of the rolling scan's bookkeeping.
+
+    Written for the retired chunk-at-once ``megabatch`` kernel; they now
+    pin ``incremental``, whose planned axis, transposed chunk and
+    whole-slab blocks stress the same row/plane bookkeeping (degenerate
+    windows, no fitting direction), the non-cubic stride math, and the
+    all-equal histogram degenerate case."""
 
     def test_degenerate_extent_one_window(self):
         rng = np.random.default_rng(0)
         data = rng.integers(0, 8, size=(6, 5, 4), dtype=np.int32)
         for roi in [(1, 1, 1), (1, 3, 2), (3, 1, 1), (2, 2, 1)]:
-            _identical(megabatch_scan, reference_scan, data, ROISpec(roi), 8)
+            _identical(incremental_scan, reference_scan, data, ROISpec(roi), 8)
 
     def test_no_fitting_direction_yields_zeros(self):
         # A (1, 1) window admits no distance-1 pair at all: every matrix
         # must come back exactly zero, not garbage from an uninitialized
-        # accumulator.
+        # buffer.
         data = np.arange(12, dtype=np.int32).reshape(4, 3) % 8
         out = np.concatenate(
-            [np.asarray(m) for _s, m in megabatch_scan(data, ROISpec((1, 1)), 8)]
+            [np.asarray(m) for _s, m in incremental_scan(data, ROISpec((1, 1)), 8)]
         )
         assert out.shape == (12, 8, 8)
         assert not out.any()
@@ -144,21 +207,21 @@ class TestMegabatchEdgeCases:
             ((2, 2, 2, 2), (2, 2, 2, 2)),
         ]:
             data = rng.integers(0, 16, size=shape, dtype=np.int32)
-            _identical(megabatch_scan, reference_scan, data, ROISpec(roi), 16)
+            _identical(incremental_scan, reference_scan, data, ROISpec(roi), 16)
 
     def test_all_levels_equal_volume(self):
         # A constant volume concentrates every count on one diagonal bin.
         data = np.full((6, 5, 4), 3, dtype=np.int32)
         roi = ROISpec((3, 3, 2))
-        _identical(megabatch_scan, reference_scan, data, roi, 8)
-        for _s, m in megabatch_scan(data, roi, 8):
+        _identical(incremental_scan, reference_scan, data, roi, 8)
+        for _s, m in incremental_scan(data, roi, 8):
             mats = np.asarray(m)
             assert not mats[:, :3, :3].any() or mats[:, 3, 3].all()
             hot = mats.reshape(mats.shape[0], -1)
             assert (hot.sum(axis=1) == mats[:, 3, 3]).all()
 
     def test_masked_analysis_matches_reference(self):
-        # Megabatch through the full analysis path, restricted by a
+        # Incremental through the full analysis path, restricted by a
         # voxel mask: masked feature samples must match the reference
         # kernel's sample-for-sample.
         rng = np.random.default_rng(2)
@@ -173,23 +236,21 @@ class TestMegabatchEdgeCases:
             k: masked_feature_samples(
                 raster_scan(data, roi, 8, kernel=k), positions
             )
-            for k in ("reference", "megabatch")
+            for k in ("reference", "incremental")
         }
         for name, want in out["reference"].items():
-            assert np.array_equal(out["megabatch"][name], want), name
+            assert np.array_equal(out["incremental"][name], want), name
 
     def test_peak_memory_within_budget(self):
-        # The whole-chunk accumulator is the design's one big allocation;
-        # everything else must stay inside a few workspace quanta.
+        # The output batch is the scan's one big allocation; everything
+        # else must stay inside a few workspace quanta.
         rng = np.random.default_rng(3)
         data = rng.integers(0, 32, size=(24, 24, 16, 7), dtype=np.int32)
         roi = ROISpec((5, 5, 5, 3))
-        grid = valid_positions_shape(data.shape, roi)
-        npos = int(np.prod(grid))
-        mats_bytes = npos * 32 * 32 * 8
+        mats_bytes = 2048 * 32 * 32 * 8
         tracemalloc.start()
         try:
-            for _ in megabatch_scan(data, roi, 32, batch=2048):
+            for _ in incremental_scan(data, roi, 32, batch=2048):
                 pass
             _cur, peak = tracemalloc.get_traced_memory()
         finally:

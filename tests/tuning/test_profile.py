@@ -27,6 +27,12 @@ class TestValidation:
         with pytest.raises(ValueError, match=">= 1"):
             TuningProfile(copies={"texture": 0})
 
+    def test_rejects_unknown_kernel(self):
+        # A profile saved when the retired megabatch kernel existed fails
+        # at load, naming the field.
+        with pytest.raises(ValueError, match="kernel.*megabatch"):
+            TuningProfile.from_dict({"kernel": "megabatch"})
+
     def test_from_dict_rejects_unknown_fields(self):
         with pytest.raises(ValueError, match="unknown profile fields"):
             TuningProfile.from_dict({"chunk_shape": [8, 8, 4, 2],
@@ -38,19 +44,19 @@ class TestApply:
         p = TuningProfile(
             chunk_shape=(8, 8, 4, 2),
             copies={"texture": 3, "iic": 2},
-            kernel="megabatch",
+            kernel="batched",
             scheduling="round_robin",
         )
         cfg = p.apply(AnalysisConfig())
         assert cfg.texture_chunk_shape == (8, 8, 4, 2)
         assert cfg.num_texture_copies == 3
         assert cfg.num_iic_copies == 2
-        assert cfg.texture.kernel == "megabatch"
+        assert cfg.texture.kernel == "batched"
         assert cfg.scheduling == "round_robin"
 
     def test_unset_fields_keep_input_config(self):
         base = AnalysisConfig(num_texture_copies=5)
-        cfg = TuningProfile(kernel="megabatch").apply(base)
+        cfg = TuningProfile(kernel="batched").apply(base)
         assert cfg.num_texture_copies == 5
         assert cfg.variant == base.variant
 
